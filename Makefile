@@ -49,7 +49,7 @@ fuzz-smoke:
 ## bench-smoke: tiny-scale harness runs with the zero-answer shape check,
 ## writing machine-readable BENCH_*.json reports into $(BENCH_DIR); also
 ## gates the symbol pipeline — the count-mode hot loop must stay
-## allocation-free and the interning ablation must run end to end
+## allocation-free, and so must the scanner's ingest loop
 bench-smoke:
 	mkdir -p $(BENCH_DIR)
 	$(GO) run ./cmd/spexbench -fig 14 -scale 0.1 -check -json $(BENCH_DIR)
@@ -63,7 +63,6 @@ bench-smoke:
 	$(GO) run ./cmd/spexbench -fig ingest -scale 0.05 -check -json $(BENCH_DIR)
 	$(GO) test -run 'TestCountModeZeroAlloc$$' -count 1 .
 	$(GO) test -run 'TestIngestZeroAlloc$$' -count 1 ./internal/xmlstream
-	$(GO) test -run NONE -bench 'BenchmarkAblationInterning$$' -benchtime 1x .
 
 ## bench-delta: benchstat-style comparison of $(BENCH_DIR) against a
 ## previous run's reports in $(BENCH_PREV). With DELTA_MAX > 0 it is a

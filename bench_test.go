@@ -269,70 +269,6 @@ func BenchmarkAblationObservability(b *testing.B) {
 	})
 }
 
-// ablationCountWorkload is the DMOZ count workload of the interning
-// ablation: class-1 descendant paths of increasing answer density, from the
-// Fig. 15 shape (_*.Topic.Title) to near-universal matches (RDF._*). The
-// high-density queries are where the allocation-free count path matters —
-// the string baseline allocates one candidate record per answer.
-var ablationCountWorkload = []string{"_*.Topic.Title", "_*.Topic._", "RDF._*", "_*._"}
-
-// BenchmarkAblationInterning prices the symbol-interned event pipeline on
-// the DMOZ count workload: "interned" scans with a shared symbol table, so
-// every label test in the network is one integer comparison and count mode
-// takes the allocation-free fast path; "strings" is the pre-interning
-// pipeline (string label comparisons, allocating candidate records). Events
-// are pre-scanned once and replayed, so the measured region is the
-// evaluation pipeline, not the tokenizer. One iteration evaluates the whole
-// workload; events/s aggregates over it.
-func BenchmarkAblationInterning(b *testing.B) {
-	doc := benchDoc(b, "dmoz-structure")
-	nodes := make([]rpeq.Node, len(ablationCountWorkload))
-	for i, q := range ablationCountWorkload {
-		nodes[i] = rpeq.MustParse(q)
-	}
-	run := func(b *testing.B, noInterning bool) {
-		opts := spexnet.Options{Mode: spexnet.ModeCount, NoInterning: noInterning}
-		scanOpts := []xmlstream.ScannerOption{xmlstream.WithText(false)}
-		if !noInterning {
-			opts.Symtab = xmlstream.NewSymtab()
-			scanOpts = append(scanOpts, xmlstream.WithSymtab(opts.Symtab))
-		}
-		events, err := xmlstream.Collect(xmlstream.NewScanner(bytes.NewReader(doc), scanOpts...))
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := &xmlstream.SliceSource{Events: events}
-		b.SetBytes(int64(len(doc) * len(nodes)))
-		b.ResetTimer()
-		var matches int64
-		var eventsRun int64
-		for i := 0; i < b.N; i++ {
-			matches, eventsRun = 0, 0
-			for _, node := range nodes {
-				net, err := spexnet.Build(node, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				src.Reset()
-				stats, err := net.Run(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				matches += stats.Output.Matches
-				eventsRun += stats.Events
-			}
-		}
-		if matches == 0 {
-			b.Fatal("interning ablation found no answers; workload broken")
-		}
-		if secs := b.Elapsed().Seconds(); secs > 0 {
-			b.ReportMetric(float64(eventsRun)*float64(b.N)/secs, "events/s")
-		}
-	}
-	b.Run("interned", func(b *testing.B) { run(b, false) })
-	b.Run("strings", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkAblationScanner compares the hand-written scanner against
 // encoding/xml as the network's front end.
 func BenchmarkAblationScanner(b *testing.B) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/multi"
 	"repro/internal/rpeq"
+	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
 
@@ -128,6 +129,24 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Fatalf("oracle failed on generated doc %q: %v", doc, err)
 		}
 		want := int64(len(nodes))
+		wantIdx := make([]int64, len(nodes))
+		for i, n := range nodes {
+			wantIdx[i] = n.Index
+		}
+		// got collects the engine under test's answer indices in delivery
+		// order: a wrong node with the right count diverges here.
+		var got []int64
+		sameSeq := func() bool {
+			if len(got) != len(wantIdx) {
+				return false
+			}
+			for i := range got {
+				if got[i] != wantIdx[i] {
+					return false
+				}
+			}
+			return true
+		}
 
 		type engine struct {
 			name string
@@ -137,7 +156,9 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}, error)
 		}
 		sub := func() []multi.Subscription {
-			return []multi.Subscription{{Name: "q", Plan: plan}}
+			got = got[:0]
+			return []multi.Subscription{{Name: "q", Plan: plan,
+				OnHit: func(_ string, r spexnet.Result) { got = append(got, r.Index) }}}
 		}
 		engines := []engine{
 			{"sequential", func() (interface {
@@ -174,9 +195,13 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if err := eng.Run(src); err != nil {
 				t.Fatalf("%s: %q over %q: %v", e.name, query, doc, err)
 			}
-			if got := eng.Matches()["q"]; got != want {
+			if n := eng.Matches()["q"]; n != want {
 				t.Fatalf("%s diverges from the DOM oracle on %q over %q: %d matches, oracle %d",
-					e.name, query, doc, got, want)
+					e.name, query, doc, n, want)
+			}
+			if !sameSeq() {
+				t.Fatalf("%s diverges from the DOM oracle on %q over %q: answers %v, oracle %v",
+					e.name, query, doc, got, wantIdx)
 			}
 		}
 		// Parallel chunk-scan ingest arm: the stitched event stream must
@@ -203,9 +228,13 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if err := eng.Run(src); err != nil {
 				t.Fatalf("parallel-scan: %q over %q at %v: %v", query, doc, targets, err)
 			}
-			if got := eng.Matches()["q"]; got != want {
+			if n := eng.Matches()["q"]; n != want {
 				t.Fatalf("parallel-scan ingest diverges from the DOM oracle on %q over %q at %v: %d matches, oracle %d",
-					query, doc, targets, got, want)
+					query, doc, targets, n, want)
+			}
+			if !sameSeq() {
+				t.Fatalf("parallel-scan ingest diverges from the DOM oracle on %q over %q at %v: answers %v, oracle %v",
+					query, doc, targets, got, wantIdx)
 			}
 		}
 	})

@@ -182,6 +182,11 @@ func combine(op Op, dedupe bool, fs []*Formula) *Formula {
 	if op == OpOr {
 		unit, zero = falseF, trueF
 	}
+	if len(fs) == 2 {
+		if f, ok := combine2(op, dedupe, unit, zero, fs[0], fs[1]); ok {
+			return f
+		}
+	}
 	var kids []*Formula
 	var flatten func(f *Formula) bool // returns false when result is the absorbing constant
 	flatten = func(f *Formula) bool {
@@ -222,10 +227,40 @@ func combine(op Op, dedupe bool, fs []*Formula) *Formula {
 	return newNode(op, kids, dedupe)
 }
 
+// combine2 decides the two-operand cases of combine that build no node: a
+// constant or nil operand, and (deduplicating) two identical operands. The
+// network's activation merges — a qualifier's [f ∧ c] under the constant
+// f = true, consecutive activations of one formula — are nearly all of
+// these, and take no allocation.
+func combine2(op Op, dedupe bool, unit, zero, a, b *Formula) (*Formula, bool) {
+	if a == zero || b == zero {
+		return zero, true
+	}
+	if b == nil || b == unit {
+		a, b = b, a
+	}
+	if a == nil || a == unit {
+		switch {
+		case b == nil || b == unit:
+			return unit, true
+		case b.op != op:
+			return b, true
+		}
+		return nil, false
+	}
+	if dedupe && a.op != op && b.op != op && a.key == b.key {
+		return a, true
+	}
+	return nil, false
+}
+
 // dedupeByKey sorts children by canonical key and removes exact duplicates.
 // Sorting also canonicalizes operand order so that commutatively equal
 // formulas share one key.
 func dedupeByKey(kids []*Formula) []*Formula {
+	if len(kids) < 2 {
+		return kids
+	}
 	sorted := make([]*Formula, len(kids))
 	copy(sorted, kids)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })

@@ -112,9 +112,6 @@ type EvalOptions struct {
 	// passes its set-wide table here so all member networks and the shared
 	// scanner agree on one symbol space. Nil uses the plan's table.
 	Symtab *xmlstream.Symtab
-	// NoInterning evaluates on the string-matching pipeline (the interning
-	// ablation's baseline): no symbol table anywhere, string label tests.
-	NoInterning bool
 	// Governor attaches the resource governor: hard caps on condition
 	// formulas, candidates, buffered content, per-step messages, live
 	// variables and depth, with a fail/degrade/shed policy. Nil (or
@@ -150,9 +147,6 @@ type EvalOptions struct {
 
 // symtabFor resolves which symbol table an evaluation of plan p uses.
 func (o EvalOptions) symtabFor(p *Plan) *xmlstream.Symtab {
-	if o.NoInterning {
-		return nil
-	}
 	if o.Symtab != nil {
 		return o.Symtab
 	}
@@ -181,7 +175,6 @@ func (o EvalOptions) netOptions(p *Plan) spexnet.Options {
 		Tracer:          o.Tracer,
 		Metrics:         o.Metrics,
 		Symtab:          o.symtabFor(p),
-		NoInterning:     o.NoInterning,
 		Governor:        o.Governor,
 		GovernorMetrics: o.GovernorMetrics,
 		SinkMetrics:     o.SinkMetrics,

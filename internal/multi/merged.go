@@ -46,11 +46,16 @@ func newMergedSetSym(subs []Subscription, symtab *xmlstream.Symtab, cfg engineCo
 	if len(subs) == 0 {
 		return nil, fmt.Errorf("multi: no subscriptions")
 	}
-	queries := make([]setcompile.Query, len(subs))
-	for i := range subs {
-		queries[i] = setcompile.Query{Name: subs[i].Name, Expr: subs[i].Plan.Expr(), Limit: subs[i].Plan.Limit()}
+	prog := cfg.prog
+	if prog == nil {
+		queries := make([]setcompile.Query, len(subs))
+		for i := range subs {
+			queries[i] = setcompile.Query{Name: subs[i].Name, Expr: subs[i].Plan.Expr(), Limit: subs[i].Plan.Limit()}
+		}
+		prog = setcompile.Compile(queries)
+	} else if len(prog.Members) != len(subs) {
+		return nil, fmt.Errorf("multi: program compiled for %d queries, set has %d", len(prog.Members), len(subs))
 	}
-	prog := setcompile.Compile(queries)
 	s := &MergedSet{
 		subs:       subs,
 		prog:       prog,

@@ -3,6 +3,7 @@ package multi
 import (
 	"repro/internal/governor"
 	"repro/internal/obs"
+	"repro/internal/setcompile"
 )
 
 // Option configures a multi-query engine (Set or SharedSet; the parallel
@@ -14,6 +15,7 @@ type engineConfig struct {
 	gov     *governor.Config
 	metrics *obs.Metrics
 	traceID string
+	prog    *setcompile.Program
 }
 
 func resolveOptions(opts []Option) engineConfig {
@@ -47,4 +49,13 @@ func WithMetrics(m *obs.Metrics) Option {
 // unstamped.
 func WithTraceID(id string) Option {
 	return func(c *engineConfig) { c.traceID = id }
+}
+
+// WithProgram hands NewMergedSet the set compiler's program for its
+// subscriptions, compiled earlier for the same queries in the same order
+// (MergedSet.Program of a previous engine), so a caller evaluating one
+// query set over many documents compiles it once and builds only the
+// network per document. Nil compiles afresh; other engines ignore it.
+func WithProgram(prog *setcompile.Program) Option {
+	return func(c *engineConfig) { c.prog = prog }
 }

@@ -202,22 +202,52 @@ func (c *Client) IngestString(ctx context.Context, channel, doc string) (server.
 // (unsubscribe or drain), ctx.Err() on cancellation, fn's error if fn fails,
 // and the transport or API error otherwise.
 func (c *Client) Results(ctx context.Context, id string, fn func(server.Frame) error) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/subscriptions/"+id+"/results", nil)
+	rs, err := c.OpenResults(ctx, id)
 	if err != nil {
 		return err
+	}
+	return rs.Each(fn)
+}
+
+// ResultStream is a subscription's attached result stream (see OpenResults).
+type ResultStream struct {
+	ctx  context.Context
+	body io.ReadCloser
+	sc   *bufio.Scanner
+}
+
+// OpenResults attaches to a subscription's result stream and returns once
+// the server has committed it. From then on the stream receives every frame
+// the subscription produces, including frames of ingests that finish before
+// the caller starts reading, and it ends cleanly even if the subscription is
+// retired first. A caller that must not race retirement against attachment
+// (an unsubscribe, a limit, a drain) opens the stream before triggering it.
+// The stream is read with Each, or released unread with Close.
+func (c *Client) OpenResults(ctx context.Context, id string) (*ResultStream, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/subscriptions/"+id+"/results", nil)
+	if err != nil {
+		return nil, err
 	}
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return apiErr(resp)
+		return nil, apiErr(resp)
 	}
-	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
+	return &ResultStream{ctx: ctx, body: resp.Body, sc: sc}, nil
+}
+
+// Each calls fn for every frame as it arrives and closes the stream. It
+// returns nil when the stream ends server-side (unsubscribe or drain),
+// ctx.Err() on cancellation, fn's error if fn fails, and the transport error
+// otherwise.
+func (s *ResultStream) Each(fn func(server.Frame) error) error {
+	defer s.body.Close()
+	for s.sc.Scan() {
+		line := s.sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
@@ -229,14 +259,17 @@ func (c *Client) Results(ctx context.Context, id string, fn func(server.Frame) e
 			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
+	if err := s.sc.Err(); err != nil {
+		if s.ctx.Err() != nil {
+			return s.ctx.Err()
 		}
 		return err
 	}
 	return nil
 }
+
+// Close detaches from the stream without reading it.
+func (s *ResultStream) Close() error { return s.body.Close() }
 
 // Healthy reports whether /healthz answers 200.
 func (c *Client) Healthy(ctx context.Context) bool { return c.probe(ctx, "/healthz") }

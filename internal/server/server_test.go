@@ -215,10 +215,16 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
+	// Attach before the drain starts: a reader arriving while draining is
+	// refused.
+	rs, err := c.OpenResults(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("results: %v", err)
+	}
 	frames := make(chan server.Frame, 16)
 	readerDone := make(chan error, 1)
 	go func() {
-		readerDone <- c.Results(ctx, info.ID, func(f server.Frame) error {
+		readerDone <- rs.Each(func(f server.Frame) error {
 			frames <- f
 			return nil
 		})
@@ -501,10 +507,16 @@ func TestUnsubscribeMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("subscribe keep: %v", err)
 	}
+	// Attach before the unsubscribe can land: a reader arriving after
+	// retirement finds no subscription.
+	rs, err := c.OpenResults(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("results: %v", err)
+	}
 	var got []server.Frame
 	readerDone := make(chan error, 1)
 	go func() {
-		readerDone <- c.Results(ctx, info.ID, func(f server.Frame) error {
+		readerDone <- rs.Each(func(f server.Frame) error {
 			got = append(got, f)
 			return nil
 		})

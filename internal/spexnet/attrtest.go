@@ -32,13 +32,13 @@ func (t *attrTestT) name() string { return "AT[" + t.pred.String() + "]" }
 
 func (t *attrTestT) stackStats() StackStats { return t.st }
 
-func (t *attrTestT) feed(_ int, m *Message, emit emitFn) {
+func (t *attrTestT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
@@ -47,16 +47,16 @@ func (t *attrTestT) feed(_ int, m *Message, emit emitFn) {
 				// The document root <$> carries no attributes, so a
 				// top-level attribute filter never selects it.
 				if t.pred.Eval(func(name string) (string, bool) { return ev.Attr(name) }) {
-					emit(0, actMsg(t.pending))
+					out.emit(actMsg(t.pending))
 				}
 				t.pending = nil
 			}
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pending = nil
-			emit(0, *m)
+			out.emit(*m)
 		default: // text
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }
@@ -73,53 +73,65 @@ func (t *attrTestT) feed(_ int, m *Message, emit emitFn) {
 // step is restricted to the final step of a query (validated at parse time),
 // so the only reader of this tape is the output transducer: the synthetic
 // messages never cross a join and the one-document-message-per-step
-// discipline holds everywhere else in the network. Synthetic attribute nodes
-// consume document-order indexes of their own, ordered before their element.
+// discipline holds everywhere else in the network. A synthetic attribute node
+// takes its element's document-order index (it orders with its element, as
+// in the DOM baselines) and consumes none of its own.
 type attrSelT struct {
 	attr string
 	cfg  *netConfig
 
 	pending *cond.Formula
-	st      StackStats
+	// syn is the synthesized node <@name> value </@name>: one slot per
+	// message, reused every step. The messages pointing here live only
+	// until the step ends (see Message), so the slots need no fresh
+	// allocation per emit; the value slot's Data is rewritten each time.
+	syn [3]xmlstream.Event
+	st  StackStats
 }
 
 func newAttrSel(attr string, cfg *netConfig) *attrSelT {
-	return &attrSelT{attr: attr, cfg: cfg}
+	label := "@" + attr
+	return &attrSelT{attr: attr, cfg: cfg, syn: [3]xmlstream.Event{
+		xmlstream.Start(label), xmlstream.Chars(""), xmlstream.End(label),
+	}}
 }
+
+// synMsg wraps a synthesized event as a document message.
+func synMsg(ev *xmlstream.Event) Message { return Message{Kind: MsgDoc, Ev: ev, Synthetic: true} }
 
 func (t *attrSelT) name() string { return "AS(@" + t.attr + ")" }
 
 func (t *attrSelT) stackStats() StackStats { return t.st }
 
-func (t *attrSelT) feed(_ int, m *Message, emit emitFn) {
+func (t *attrSelT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
 		case isStart(ev):
 			if t.pending != nil {
 				if v, ok := ev.Attr(t.attr); ok {
-					label := "@" + t.attr
-					emit(0, actMsg(t.pending))
-					emit(0, docMsg(xmlstream.Start(label)))
+					out.emit(actMsg(t.pending))
+					out.emit(synMsg(&t.syn[0]))
 					if v != "" {
-						emit(0, docMsg(xmlstream.Chars(v)))
+						t.syn[1].Data = v
+						out.emit(synMsg(&t.syn[1]))
 					}
-					emit(0, docMsg(xmlstream.End(label)))
+					out.emit(synMsg(&t.syn[2]))
 				}
 				t.pending = nil
 			}
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pending = nil
-			emit(0, *m)
+			out.emit(*m)
 		default: // text
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }

@@ -37,24 +37,24 @@ func (t *followingT) stackStats() StackStats {
 	return s
 }
 
-func (t *followingT) feed(_ int, m *Message, emit emitFn) {
+func (t *followingT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
 		case isStart(ev):
 			if t.active != nil && t.test.matches(ev) {
-				emit(0, actMsg(t.active))
+				out.emit(actMsg(t.active))
 			}
 			t.armed = append(t.armed, t.pending)
 			t.pending = nil
 			t.st.noteStack(len(t.armed))
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pending = nil
 			if n := len(t.armed); n > 0 {
@@ -64,9 +64,9 @@ func (t *followingT) feed(_ int, m *Message, emit emitFn) {
 				}
 				t.armed = t.armed[:n-1]
 			}
-			emit(0, *m)
+			out.emit(*m)
 		default:
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }
@@ -110,38 +110,38 @@ func (t *precedingT) stackStats() StackStats {
 	return s
 }
 
-func (t *precedingT) feed(_ int, m *Message, emit emitFn) {
+func (t *precedingT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pendingCtx = t.cfg.or(t.pendingCtx, m.Formula)
 		t.st.noteFormula(t.pendingCtx)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
 		case isStart(ev):
 			if t.pendingCtx != nil {
-				t.creditClosed(t.pendingCtx, emit)
+				t.creditClosed(t.pendingCtx, out)
 				t.pendingCtx = nil
 			}
 			var v cond.VarID
 			matched := t.test.matches(ev)
 			if matched {
 				v = t.pool.Fresh(t.q)
-				emit(0, actMsg(t.pool.Var(v)))
+				out.emit(actMsg(t.pool.Var(v)))
 			}
 			t.open = append(t.open, v)
 			t.has = append(t.has, matched)
 			t.st.noteStack(len(t.open) + len(t.closed))
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pendingCtx = nil
 			if ev.Kind == xmlstream.EndDocument {
 				// No context can follow: finalize the stragglers. (No
 				// Release: networks with axes retain ids, see netConfig.)
 				for _, v := range t.closed {
-					emit(0, Message{Kind: MsgDet, Var: v, Final: true})
+					out.emit(finalMsg(v))
 				}
 				t.closed = t.closed[:0]
 			}
@@ -153,9 +153,9 @@ func (t *precedingT) feed(_ int, m *Message, emit emitFn) {
 				t.open = t.open[:n-1]
 				t.has = t.has[:n-1]
 			}
-			emit(0, *m)
+			out.emit(*m)
 		default:
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }
@@ -163,16 +163,16 @@ func (t *precedingT) feed(_ int, m *Message, emit emitFn) {
 // creditClosed witnesses every closed candidate with the context formula f.
 // Candidates witnessed unconditionally are fully determined and released;
 // conditionally witnessed ones stay for later contexts.
-func (t *precedingT) creditClosed(f *cond.Formula, emit emitFn) {
+func (t *precedingT) creditClosed(f *cond.Formula, out *emitter) {
 	if f.IsTrue() {
 		for _, v := range t.closed {
-			emit(0, Message{Kind: MsgDet, Var: v, Witness: f})
-			emit(0, Message{Kind: MsgDet, Var: v, Final: true})
+			out.emit(detMsg(v, f))
+			out.emit(finalMsg(v))
 		}
 		t.closed = t.closed[:0]
 		return
 	}
 	for _, v := range t.closed {
-		emit(0, Message{Kind: MsgDet, Var: v, Witness: f})
+		out.emit(detMsg(v, f))
 	}
 }

@@ -73,11 +73,11 @@ func TestTextCmpTransducerDirect(t *testing.T) {
 	out, _ := feedAll(te, 0, msgs(
 		startDoc(),
 		actMsg(cond.True()), start("p"),
-		docMsg(xmlstream.Chars("h")),
-		start("b"), docMsg(xmlstream.Chars("i")), end("b"),
+		ev(xmlstream.Chars("h")),
+		start("b"), ev(xmlstream.Chars("i")), end("b"),
 		end("p"), // string value "hi": activation re-emitted here
 		actMsg(cond.True()), start("p"),
-		docMsg(xmlstream.Chars("no")),
+		ev(xmlstream.Chars("no")),
 		end("p"), // no match
 		endDoc(),
 	))

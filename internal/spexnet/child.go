@@ -40,13 +40,13 @@ func (t *childT) stackStats() StackStats {
 	return s
 }
 
-func (t *childT) feed(_ int, m *Message, emit emitFn) {
+func (t *childT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
@@ -54,22 +54,22 @@ func (t *childT) feed(_ int, m *Message, emit emitFn) {
 			// Match: is the parent level an armed scope and the label right?
 			if n := len(t.scopes); n > 0 {
 				if f := t.scopes[n-1]; f != nil && t.label.matches(ev) {
-					emit(0, actMsg(f))
+					out.emit(actMsg(f))
 				}
 			}
 			// Arm the children of this node if an activation preceded it.
 			t.scopes = append(t.scopes, t.pending)
 			t.pending = nil
 			t.st.noteStack(len(t.scopes))
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pending = nil
 			if n := len(t.scopes); n > 0 {
 				t.scopes = t.scopes[:n-1]
 			}
-			emit(0, *m)
+			out.emit(*m)
 		default: // text
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }

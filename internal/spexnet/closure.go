@@ -37,13 +37,13 @@ func (t *closureT) stackStats() StackStats {
 	return s
 }
 
-func (t *closureT) feed(_ int, m *Message, emit emitFn) {
+func (t *closureT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
@@ -54,7 +54,7 @@ func (t *closureT) feed(_ int, m *Message, emit emitFn) {
 			}
 			matched := parent != nil && t.label.matches(ev)
 			if matched {
-				emit(0, actMsg(parent))
+				out.emit(actMsg(parent))
 			}
 			// The scope continues below this node only along l-chains
 			// (matched), and a pending activation opens a (possibly
@@ -70,15 +70,15 @@ func (t *closureT) feed(_ int, m *Message, emit emitFn) {
 			t.st.noteFormula(child)
 			t.scopes = append(t.scopes, child)
 			t.st.noteStack(len(t.scopes))
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pending = nil
 			if n := len(t.scopes); n > 0 {
 				t.scopes = t.scopes[:n-1]
 			}
-			emit(0, *m)
+			out.emit(*m)
 		default:
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }

@@ -38,10 +38,6 @@ type Options struct {
 	// pre-resolved, so the per-event label tests are pure integer
 	// comparisons and the network never touches the interner.
 	Symtab *xmlstream.Symtab
-	// NoInterning restores the string-matching pipeline (the interning
-	// ablation's baseline): no symbol table, string label comparisons, and
-	// the count-mode output fast path disabled.
-	NoInterning bool
 	// Governor, when it carries any cap, attaches the resource governor:
 	// condition-formula size, candidate population, buffered content,
 	// per-step messages, live condition variables and document depth are
@@ -114,7 +110,7 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 		}
 	}
 	symtab := opts.Symtab
-	if symtab == nil && !opts.NoInterning {
+	if symtab == nil {
 		symtab = xmlstream.NewSymtab()
 	}
 	gm := opts.GovernorMetrics
@@ -130,7 +126,6 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 			rawFormulas: opts.RawFormulas,
 			retainVars:  retain,
 			symtab:      symtab,
-			noInterning: opts.NoInterning,
 			gov:         newGovern(opts.Governor, gm),
 			sinkMetrics: sm,
 			traceID:     opts.TraceID,
@@ -170,6 +165,7 @@ func BuildSet(specs []Spec, opts Options) (*Network, error) {
 	// transducer so every tape has exactly one reader and the sharing points
 	// are first-class nodes.
 	b.insertFanouts()
+	b.bindTapes()
 	if opts.Metrics != nil {
 		opts.Metrics.SetTransducers(b.tms)
 	}
@@ -192,8 +188,8 @@ type builder struct {
 }
 
 // newEdge allocates a fresh tape — and, on instrumented builds, its message
-// counter row. Rows are individually allocated so an emit closure can hold a
-// stable pointer to its tape's row.
+// counter row. Rows are individually allocated so a node can hold stable
+// pointers to its input tapes' rows.
 func (b *builder) newEdge() int {
 	b.net.edges = append(b.net.edges, nil)
 	if b.metrics != nil {
@@ -206,65 +202,72 @@ func (b *builder) newEdge() int {
 // of its numOuts fresh output tapes. Construction order is topological by
 // compositionality of C.
 //
-// The instrumentation and tracing wrappers are composed into the node's emit
-// closure here, at build time, so the uninstrumented emit path is the bare
-// tape append with no per-message branch.
+// A traced network's nodes emit through a closure that records each message
+// before appending it; every other node gets no closure: bindTapes hands it
+// its tapes directly once all tapes exist.
 func (b *builder) addNode(t transducer, ins []int, numOuts int) []int {
 	outs := make([]int, numOuts)
 	for i := range outs {
 		outs[i] = b.newEdge()
 	}
 	node := netNode{t: t, ins: ins, outs: outs}
-	if se, ok := t.(stepEnder); ok {
-		node.ender = se
+	if r, ok := t.(stepReader); ok {
+		node.reader = r
+	} else {
+		node.feeder = t.(msgFeeder)
 	}
 	net := b.net
-	var emit emitFn
 	if b.metrics != nil {
 		tm := obs.NewTransducerMetrics(fmt.Sprintf("%d:%s", len(net.nodes), t.name()))
 		node.tm = tm
 		b.tms = append(b.tms, tm)
 		node.mc = &msgCounters{}
-		// The whole per-message instrumentation cost is one plain increment
-		// on the written tape's counter row, folded into the emit closure
-		// (no second closure hop) and indexed by the message kind directly —
-		// kindMask keeps the compiler from bounds-checking, the shared
-		// numbering with obs.MsgKind makes the index meaningful. syncMetrics
-		// derives both sides' per-transducer counts from the tape counters
-		// on the gauge stride; an atomic add per message here would be the
-		// dominant instrumentation cost on the hot path. Single-output
-		// nodes — nearly all of them — capture their tape and row directly.
-		if numOuts == 1 {
-			tape := outs[0]
-			row := net.edgeCounts[tape]
-			emit = func(_ int, m Message) {
-				row[m.Kind&kindMask]++
-				net.edges[tape] = append(net.edges[tape], m)
-			}
-		} else {
-			emit = func(port int, m Message) {
-				e := node.outs[port]
-				net.edgeCounts[e][m.Kind&kindMask]++
-				net.edges[e] = append(net.edges[e], m)
-			}
-		}
-	} else {
-		emit = func(port int, m Message) {
-			net.edges[node.outs[port]] = append(net.edges[node.outs[port]], m)
-		}
 	}
+	var emit emitFn
 	if b.tracer != nil {
 		tracer := b.tracer
 		nodeName := t.name()
-		inner := emit
 		emit = func(port int, m Message) {
 			tracer.Trace(obs.TraceEvent{Step: net.step, Node: nodeName, Kind: obsKind(m.Kind), Msg: m.String(), TraceID: net.cfg.traceID})
-			inner(port, m)
+			e := node.outs[port]
+			net.edges[e] = append(net.edges[e], m)
 		}
 	}
-	node.emit = emit
+	node.out.fn = emit
 	b.net.nodes = append(b.net.nodes, node)
 	return outs
+}
+
+// bindTapes finishes the wiring once every tape exists (the tape slice no
+// longer grows, so pointers into it are stable): every node gets direct
+// handles on its input tapes (and, instrumented, on their counter rows), and
+// nodes built without an emit closure on their output tapes. Every tape has
+// a reader — the translation feeds each output it creates into a node — so
+// the readers' clearing empties every tape each step.
+func (b *builder) bindTapes() {
+	net := b.net
+	for i := range net.nodes {
+		node := &net.nodes[i]
+		node.inTapes = make([]*[]Message, len(node.ins))
+		for port, e := range node.ins {
+			node.inTapes[port] = &net.edges[e]
+		}
+		if net.edgeCounts != nil {
+			node.inCounts = make([]*[kindMask + 1]int64, len(node.ins))
+			for port, e := range node.ins {
+				node.inCounts[port] = net.edgeCounts[e]
+			}
+		}
+		if node.out.fn == nil {
+			node.out.tapes = make([]*[]Message, len(node.outs))
+			for port, e := range node.outs {
+				node.out.tapes[port] = &net.edges[e]
+			}
+			if len(node.outs) > 0 {
+				node.out.tape = node.out.tapes[0]
+			}
+		}
+	}
 }
 
 // compile implements C with hash-consing: it extends the network with the

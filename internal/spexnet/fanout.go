@@ -22,10 +22,8 @@ func (t *fanoutT) name() string { return "FO" }
 
 func (t *fanoutT) stackStats() StackStats { return t.st }
 
-func (t *fanoutT) feed(_ int, m *Message, emit emitFn) {
-	for p := 0; p < t.ports; p++ {
-		emit(p, *m)
-	}
+func (t *fanoutT) readStep(ins []*[]Message, out *emitter) {
+	out.multicast(*ins[0], t.ports)
 }
 
 // portRef identifies one input port of one node.

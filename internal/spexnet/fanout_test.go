@@ -36,16 +36,19 @@ func TestFanoutInsertion(t *testing.T) {
 	if got := net.Fanouts(); got == 0 {
 		t.Fatal("shared-prefix network has no fan-out junctions")
 	}
-	// Every tape must now have exactly one reader.
-	readers := map[int]int{}
-	for i := range net.nodes {
-		for _, tape := range net.nodes[i].ins {
-			readers[tape]++
+	// Every tape must now have exactly one reader: the step relies on the
+	// readers to empty every tape.
+	for _, n := range []*Network{single, net} {
+		readers := map[int]int{}
+		for i := range n.nodes {
+			for _, tape := range n.nodes[i].ins {
+				readers[tape]++
+			}
 		}
-	}
-	for tape, n := range readers {
-		if n != 1 {
-			t.Fatalf("tape %d has %d readers after fan-out insertion", tape, n)
+		for tape := range n.edges {
+			if readers[tape] != 1 {
+				t.Fatalf("tape %d has %d readers after fan-out insertion", tape, readers[tape])
+			}
 		}
 	}
 

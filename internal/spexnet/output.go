@@ -124,6 +124,8 @@ type outputT struct {
 	// §VI): an activation may mention a variable determined before the
 	// candidate was encountered.
 	resolved map[cond.VarID]*cond.Formula
+	// spare holds emptied byVar lists of resolved variables for reuse.
+	spare [][]*candidate
 
 	stats    OutputStats
 	buffered int
@@ -208,7 +210,7 @@ func (t *outputT) stackStats() StackStats {
 	return s
 }
 
-func (t *outputT) feed(_ int, m *Message, emit emitFn) {
+func (t *outputT) feed(_ int, m *Message, _ *emitter) {
 	if t.shed || t.determined {
 		return
 	}
@@ -221,27 +223,29 @@ func (t *outputT) feed(_ int, m *Message, emit emitFn) {
 		t.flushQueue()
 	case MsgDoc:
 		t.step++
-		t.handleDoc(m.Ev)
+		t.handleDoc(m.Ev, m.Synthetic)
 		t.flushQueue()
 	}
 }
 
-func (t *outputT) handleDoc(ev xmlstream.Event) {
+func (t *outputT) handleDoc(ev *xmlstream.Event, synthetic bool) {
 	switch {
 	case isStart(ev):
 		t.depth++
+		// A synthetic attribute node precedes its element's start and takes
+		// the index that start is about to consume.
 		index := t.nextIndex
-		t.nextIndex++
+		if !synthetic {
+			t.nextIndex++
+		}
 		if t.pending != nil {
 			f := t.pending
 			t.pending = nil
 			// Count-mode fast path: an unconditional answer with nothing
 			// queued ahead of it is countable immediately — no candidate
-			// record, no queue traffic. With the symbol pipeline this makes
-			// the qualifier-free counting loop allocation-free; the
-			// interning ablation (noInterning) keeps the seed's allocating
-			// path as its baseline.
-			if t.mode == ModeCount && !t.cfg.noInterning && len(t.queue) == 0 && f.IsTrue() {
+			// record, no queue traffic, so the qualifier-free counting loop
+			// is allocation-free.
+			if t.mode == ModeCount && len(t.queue) == 0 && f.IsTrue() {
 				t.stats.Candidates++
 				t.stats.Matches++
 				// Decided and emitted at birth: both latencies are zero.
@@ -295,7 +299,7 @@ func (t *outputT) applyResolved(f *cond.Formula) *cond.Formula {
 }
 
 // openCandidate creates a candidate for the node whose start event is ev.
-func (t *outputT) openCandidate(index int64, ev xmlstream.Event, f *cond.Formula) {
+func (t *outputT) openCandidate(index int64, ev *xmlstream.Event, f *cond.Formula) {
 	name := ev.Name
 	if ev.Kind == xmlstream.StartDocument {
 		name = "$"
@@ -320,7 +324,7 @@ func (t *outputT) openCandidate(index int64, ev xmlstream.Event, f *cond.Formula
 		t.observeDecision(c.born)
 		t.observeLifetime(c.born)
 	default:
-		f.Visit(func(v cond.VarID) { t.byVar[v] = append(t.byVar[v], c) })
+		f.Visit(func(v cond.VarID) { t.watch(v, c) })
 	}
 	if c.state != candRejected {
 		t.queue = append(t.queue, c)
@@ -351,7 +355,7 @@ func (t *outputT) openDegraded(index int64, name string, f *cond.Formula) {
 		t.observeLifetime(t.step)
 	default:
 		c := &candidate{index: index, name: name, formula: f, unqueued: true, born: t.step}
-		f.Visit(func(v cond.VarID) { t.byVar[v] = append(t.byVar[v], c) })
+		f.Visit(func(v cond.VarID) { t.watch(v, c) })
 		t.pendingN++
 		if t.pendingN > t.stats.MaxQueued {
 			t.stats.MaxQueued = t.pendingN
@@ -452,7 +456,7 @@ func (t *outputT) shedSelf() {
 // appendToOpen adds a content event to every open, non-rejected candidate
 // (ModeSerialize and ModeStream). The streaming head candidate forwards the
 // event instead of buffering it.
-func (t *outputT) appendToOpen(ev xmlstream.Event) {
+func (t *outputT) appendToOpen(ev *xmlstream.Event) {
 	if t.mode != ModeSerialize && t.mode != ModeStream {
 		return
 	}
@@ -461,10 +465,12 @@ func (t *outputT) appendToOpen(ev xmlstream.Event) {
 			continue
 		}
 		if c.streaming {
-			t.ssink.ResultEvent(ev)
+			t.ssink.ResultEvent(*ev)
 			continue
 		}
-		c.events = append(c.events, ev)
+		// The event lives only until the step ends; the buffered content
+		// keeps a copy.
+		c.events = append(c.events, *ev)
 		t.buffered++
 	}
 	if t.buffered > t.stats.MaxBufferedEvs {
@@ -513,7 +519,7 @@ func (t *outputT) handleDet(m *Message) {
 		}
 		return
 	}
-	w := t.applyResolved(m.Witness)
+	w := t.applyResolved(m.Formula)
 	if prev, ok := t.bindings[m.Var]; ok {
 		w = t.cfg.or(prev, w)
 	}
@@ -583,10 +589,16 @@ func (t *outputT) resolve(v cond.VarID, val *cond.Formula) {
 		default:
 			c.formula.Visit(func(w cond.VarID) {
 				if w != v {
-					t.byVar[w] = append(t.byVar[w], c)
+					t.watch(w, c)
 				}
 			})
 		}
+	}
+	// The resolved variable's list is done with; keep it for reuse, without
+	// the candidates it points at.
+	if cap(cands) > 0 {
+		clear(cands)
+		t.spare = append(t.spare, cands[:0])
 	}
 	// Substitute into pending bindings; collect cascaded resolutions.
 	var cascade []cond.VarID
@@ -604,6 +616,20 @@ func (t *outputT) resolve(v cond.VarID, val *cond.Formula) {
 		delete(t.bindings, owner)
 		t.resolve(owner, cond.True())
 	}
+}
+
+// watch files candidate c under variable v. A variable's list is drawn from
+// the spare lists of resolved variables, so a steady flow of candidates
+// reuses lists instead of allocating one per variable.
+func (t *outputT) watch(v cond.VarID, c *candidate) {
+	l, ok := t.byVar[v]
+	if !ok {
+		if n := len(t.spare); n > 0 {
+			l = t.spare[n-1]
+			t.spare = t.spare[:n-1]
+		}
+	}
+	t.byVar[v] = append(l, c)
 }
 
 // releaseContent frees a rejected candidate's buffer.
@@ -657,7 +683,13 @@ func (t *outputT) flushQueue() {
 		}
 		t.observeLifetime(c.born)
 		t.queue[0] = nil
-		t.queue = t.queue[1:]
+		if len(t.queue) == 1 {
+			// Drained: stay on this slot. Slicing past it would shed the
+			// queue's capacity, and the next candidate would allocate.
+			t.queue = t.queue[:0]
+		} else {
+			t.queue = t.queue[1:]
+		}
 	}
 }
 
@@ -697,6 +729,7 @@ func (t *outputT) determine() {
 	t.queue = nil
 	t.openStack = nil
 	t.byVar = nil
+	t.spare = nil
 	t.bindings = nil
 	t.resolved = nil
 	t.pending = nil

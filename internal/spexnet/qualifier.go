@@ -53,14 +53,14 @@ func (t *vcT) stackStats() StackStats {
 	return s
 }
 
-func (t *vcT) feed(_ int, m *Message, emit emitFn) {
+func (t *vcT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.hasPend = true
 		t.st.noteFormula(t.pending)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
@@ -71,7 +71,7 @@ func (t *vcT) feed(_ int, m *Message, emit emitFn) {
 				v = t.pool.Fresh(t.q)
 				f := t.cfg.and(t.pending, t.pool.Var(v))
 				t.st.noteFormula(f)
-				emit(0, actMsg(f))
+				out.emit(actMsg(f))
 				created = true
 				t.pending = nil
 				t.hasPend = false
@@ -79,7 +79,7 @@ func (t *vcT) feed(_ int, m *Message, emit emitFn) {
 			t.vars = append(t.vars, v)
 			t.has = append(t.has, created)
 			t.st.noteStack(len(t.vars))
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pending = nil
 			t.hasPend = false
@@ -91,16 +91,16 @@ func (t *vcT) feed(_ int, m *Message, emit emitFn) {
 			// determination in first. After the finalization nothing can
 			// mention the variable again, so its id returns to the pool —
 			// this is what keeps memory bounded on unbounded streams.
-			emit(0, *m)
+			out.emit(*m)
 			if n := len(t.vars); n > 0 {
 				if t.has[n-1] {
 					if t.neg {
 						// Negated qualifier: the instance survived its whole
 						// scope without an inner match — not(cond) holds, the
 						// witness is true. It travels before the finalization.
-						emit(0, Message{Kind: MsgDet, Var: t.vars[n-1], Witness: cond.True()})
+						out.emit(detMsg(t.vars[n-1], cond.True()))
 					}
-					emit(0, Message{Kind: MsgDet, Var: t.vars[n-1], Final: true})
+					out.emit(finalMsg(t.vars[n-1]))
 					if !t.cfg.retainVars {
 						t.pool.Release(t.vars[n-1])
 					}
@@ -109,7 +109,7 @@ func (t *vcT) feed(_ int, m *Message, emit emitFn) {
 				t.has = t.has[:n-1]
 			}
 		default:
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }
@@ -139,9 +139,9 @@ func (t *vfT) name() string {
 
 func (t *vfT) stackStats() StackStats { return t.st }
 
-func (t *vfT) feed(_ int, m *Message, emit emitFn) {
+func (t *vfT) feed(_ int, m *Message, out *emitter) {
 	if m.Kind != MsgActivation {
-		emit(0, *m)
+		out.emit(*m)
 		return
 	}
 	keep := func(v cond.VarID) bool { return t.pool.WithinSubtree(v, t.q) }
@@ -151,7 +151,7 @@ func (t *vfT) feed(_ int, m *Message, emit emitFn) {
 	}
 	f := m.Formula.Restrict(keep)
 	t.st.noteFormula(f)
-	emit(0, actMsg(f))
+	out.emit(actMsg(f))
 }
 
 // vdT is the variable-determinant transducer of §III.5.3. Every activation
@@ -181,9 +181,9 @@ func (t *vdT) name() string { return "VD" }
 
 func (t *vdT) stackStats() StackStats { return t.st }
 
-func (t *vdT) feed(_ int, m *Message, emit emitFn) {
+func (t *vdT) feed(_ int, m *Message, out *emitter) {
 	if m.Kind != MsgActivation {
-		emit(0, *m)
+		out.emit(*m)
 		return
 	}
 	t.st.noteFormula(m.Formula)
@@ -193,7 +193,7 @@ func (t *vdT) feed(_ int, m *Message, emit emitFn) {
 		var v cond.VarID
 		m.Formula.Visit(func(w cond.VarID) { v = w })
 		if t.pool.BelongsTo(v, t.q) {
-			emit(0, Message{Kind: MsgDet, Var: v, Witness: cond.True()})
+			out.emit(detMsg(v, cond.True()))
 		}
 		return
 	}
@@ -222,7 +222,7 @@ func (t *vdT) feed(_ int, m *Message, emit emitFn) {
 		}
 	}
 	for _, v := range order {
-		emit(0, Message{Kind: MsgDet, Var: v, Witness: witnesses[v]})
+		out.emit(detMsg(v, witnesses[v]))
 	}
 }
 
@@ -251,9 +251,9 @@ func (t *nvdT) name() string { return "VD(!)" }
 
 func (t *nvdT) stackStats() StackStats { return t.st }
 
-func (t *nvdT) feed(_ int, m *Message, emit emitFn) {
+func (t *nvdT) feed(_ int, m *Message, out *emitter) {
 	if m.Kind != MsgActivation {
-		emit(0, *m)
+		out.emit(*m)
 		return
 	}
 	t.st.noteFormula(m.Formula)
@@ -270,7 +270,7 @@ func (t *nvdT) feed(_ int, m *Message, emit emitFn) {
 		seen = append(seen, v)
 	})
 	for _, v := range seen {
-		emit(0, Message{Kind: MsgDet, Var: v, Witness: cond.False()})
+		out.emit(detMsg(v, cond.False()))
 	}
 	t.seen = seen[:0]
 }
@@ -287,9 +287,9 @@ func (t *dropActT) name() string { return "DROP" }
 
 func (t *dropActT) stackStats() StackStats { return t.st }
 
-func (t *dropActT) feed(_ int, m *Message, emit emitFn) {
+func (t *dropActT) feed(_ int, m *Message, out *emitter) {
 	if m.Kind == MsgActivation {
 		return
 	}
-	emit(0, *m)
+	out.emit(*m)
 }

@@ -46,13 +46,13 @@ func (t *textCmpT) stackStats() StackStats {
 	return s
 }
 
-func (t *textCmpT) feed(_ int, m *Message, emit emitFn) {
+func (t *textCmpT) feed(_ int, m *Message, out *emitter) {
 	switch m.Kind {
 	case MsgActivation:
 		t.pending = t.cfg.or(t.pending, m.Formula)
 		t.st.noteFormula(t.pending)
 	case MsgDet:
-		emit(0, *m)
+		out.emit(*m)
 	case MsgDoc:
 		ev := m.Ev
 		switch {
@@ -64,23 +64,23 @@ func (t *textCmpT) feed(_ int, m *Message, emit emitFn) {
 			}
 			t.scopes = append(t.scopes, s)
 			t.st.noteStack(len(t.scopes))
-			emit(0, *m)
+			out.emit(*m)
 		case isEnd(ev):
 			t.pending = nil
 			if n := len(t.scopes); n > 0 {
 				if s := t.scopes[n-1]; s != nil && t.op.Holds(s.buf.String(), t.value) {
-					emit(0, actMsg(s.f))
+					out.emit(actMsg(s.f))
 				}
 				t.scopes = t.scopes[:n-1]
 			}
-			emit(0, *m)
+			out.emit(*m)
 		default: // text: accumulate into every armed scope
 			for _, s := range t.scopes {
 				if s != nil {
 					s.buf.WriteString(ev.Data)
 				}
 			}
-			emit(0, *m)
+			out.emit(*m)
 		}
 	}
 }

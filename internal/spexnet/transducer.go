@@ -7,29 +7,84 @@ import (
 )
 
 // emitFn delivers a message to one output port of a transducer. All
-// transducers have a single output port (port 0) except the split
-// transducer, which also writes port 1.
+// transducers have a single output port (port 0) except the split, which
+// also writes port 1, and the fan-out junction.
 type emitFn func(port int, m Message)
 
-// transducer is one node of a SPEX network. feed processes a single message
-// arriving on the given input port (always 0 except for the join
-// transducer) and emits resulting messages in order. The runner guarantees
-// the paper's discipline: exactly one document message is in flight at a
-// time, and all messages belonging to that step are delivered before the
-// next step begins.
-//
-// The message is passed by pointer into the runner's tape storage and is
-// valid only for the duration of the call: implementations forward it as
-// emit(port, *m) and must copy (*m) if they buffer it across calls. Passing
-// a pointer halves the per-hop copy traffic of the ~100-byte Message — with
-// every transducer forwarding every document message, the copies are a
-// measurable share of the per-event cost Lemma V.2 bounds.
+// emitter is a transducer's output: where its emitted messages go. A node
+// of an untraced network holds direct handles on its output tapes, and emit
+// appends to the tape inline with no call; a traced network's nodes go
+// through the port-indexed closure fn, which records each message first.
+type emitter struct {
+	tape  *[]Message   // port 0's tape (untraced)
+	tapes []*[]Message // every port's tape (untraced)
+	fn    emitFn
+}
+
+// emit delivers m to port 0, the only output port of every transducer but
+// the split and fan-out junctions.
+func (e *emitter) emit(m Message) {
+	if e.fn != nil {
+		e.fn(0, m)
+		return
+	}
+	*e.tape = append(*e.tape, m)
+}
+
+// multicast delivers every message of msgs to each of the first ports
+// output ports. Untraced, it copies the run tape by tape (element by
+// element: a step's run is a message or three, too short for a bulk copy to
+// pay); a closure gets each message on every port in turn, so traces list a
+// junction's emissions in the order per-message forwarding produces.
+func (e *emitter) multicast(msgs []Message, ports int) {
+	if e.fn == nil {
+		for _, t := range e.tapes[:ports] {
+			for _, m := range msgs {
+				*t = append(*t, m)
+			}
+		}
+		return
+	}
+	for _, m := range msgs {
+		for p := 0; p < ports; p++ {
+			e.fn(p, m)
+		}
+	}
+}
+
+// transducer is one node of a SPEX network. It consumes its input in one of
+// two ways: message by message (msgFeeder), or a whole step's input tapes at
+// once (stepReader). The runner guarantees the paper's discipline: exactly
+// one document message is in flight at a time, and all messages belonging
+// to that step are delivered before the next step begins.
 type transducer interface {
-	feed(input int, m *Message, emit emitFn)
 	name() string
 	// stackStats returns the current and maximum depth-stack size and the
 	// maximum condition-formula size handled, for the §V experiments.
 	stackStats() StackStats
+}
+
+// msgFeeder is a transducer fed one message at a time. feed processes a
+// single message arriving on the given input port and emits resulting
+// messages in order.
+//
+// The message is passed by pointer into the runner's tape storage and is
+// valid only for the duration of the call: implementations forward it as
+// out.emit(*m) — a three-word copy — and must copy (*m) if they keep it. A
+// document message's event pointer is valid until the step ends (see
+// Message), so state kept across steps copies the event.
+type msgFeeder interface {
+	feed(input int, m *Message, out *emitter)
+}
+
+// stepReader is a transducer that reads a step's input tapes whole, in port
+// order, once every producer has written them (all producers precede it in
+// topological order): the join, which orders its output by the position of
+// the document message on both branches, and the split and fan-out
+// junctions, which copy their input tape wholesale. The tapes are valid for
+// the duration of the call.
+type stepReader interface {
+	readStep(ins []*[]Message, out *emitter)
 }
 
 // StackStats reports per-transducer resource usage.
@@ -101,12 +156,8 @@ type netConfig struct {
 	retainVars bool
 	// symtab is the network's symbol table: label tests are compiled into
 	// symbols of this table, and Step resolves events arriving with a zero
-	// Sym against it. Always non-nil unless noInterning is set.
+	// Sym against it. Never nil.
 	symtab *xmlstream.Symtab
-	// noInterning restores the string-matching pipeline of the original
-	// engine (the interning ablation's baseline): labels compare as strings
-	// and the count-mode output fast path is disabled.
-	noInterning bool
 	// gov is the resource-governor runtime; nil when no caps are
 	// configured, which is the zero-overhead default (every hook is a
 	// single pointer test).
@@ -131,20 +182,19 @@ type netConfig struct {
 
 // isStart reports whether the event opens a tree node (element or document
 // root).
-func isStart(ev xmlstream.Event) bool {
+func isStart(ev *xmlstream.Event) bool {
 	return ev.Kind == xmlstream.StartElement || ev.Kind == xmlstream.StartDocument
 }
 
 // isEnd reports whether the event closes a tree node.
-func isEnd(ev xmlstream.Event) bool {
+func isEnd(ev *xmlstream.Event) bool {
 	return ev.Kind == xmlstream.EndElement || ev.Kind == xmlstream.EndDocument
 }
 
 // labelTest is a compiled label guard: the per-event test every CH, CL, FO
 // and PR transducer runs. The wildcard is decided at build time; a concrete
 // label compiles to the symbol it interns to in the network's table, so the
-// steady-state test is one integer comparison. sym stays zero only under the
-// noInterning ablation, which falls back to the original string comparison.
+// steady-state test is one integer comparison.
 type labelTest struct {
 	label string
 	sym   xmlstream.Sym
@@ -154,7 +204,7 @@ type labelTest struct {
 // compileLabelTest interns the label against the network's symbol table.
 func (n *netConfig) compileLabelTest(label string) labelTest {
 	t := labelTest{label: label, wild: label == "_"}
-	if !t.wild && n.symtab != nil && !n.noInterning {
+	if !t.wild {
 		t.sym = n.symtab.Intern(label)
 	}
 	return t
@@ -164,15 +214,6 @@ func (n *netConfig) compileLabelTest(label string) labelTest {
 // wildcard matches every element, but never the document root <$>). Events
 // reaching a transducer are already resolved against the network's table
 // (Network.Step), so the symbol comparison is exact.
-func (t labelTest) matches(ev xmlstream.Event) bool {
-	if ev.Kind != xmlstream.StartElement {
-		return false
-	}
-	if t.wild {
-		return true
-	}
-	if t.sym != 0 {
-		return ev.Sym == t.sym
-	}
-	return t.label == ev.Name
+func (t labelTest) matches(ev *xmlstream.Event) bool {
+	return ev.Kind == xmlstream.StartElement && (t.wild || ev.Sym == t.sym)
 }

@@ -2,33 +2,48 @@ package spexnet
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/cond"
 	"repro/internal/xmlstream"
 )
 
 // feedAll drives a transducer with a message sequence and collects its
-// port-0 output (port 1 for the second return value, used by split).
+// port-0 output (port 1 for the second return value, used by split). A step
+// reader gets the whole sequence as one tape.
 func feedAll(t transducer, input int, msgs []Message) (port0, port1 []Message) {
-	emit := func(port int, m Message) {
+	out := &emitter{fn: func(port int, m Message) {
 		if port == 0 {
 			port0 = append(port0, m)
 		} else {
 			port1 = append(port1, m)
 		}
+	}}
+	if r, ok := t.(stepReader); ok {
+		r.readStep([]*[]Message{&msgs}, out)
+		return port0, port1
 	}
 	for i := range msgs {
-		t.feed(input, &msgs[i], emit)
+		t.(msgFeeder).feed(input, &msgs[i], out)
 	}
 	return port0, port1
 }
 
 func msgs(evs ...Message) []Message { return evs }
 
-func start(name string) Message { return docMsg(xmlstream.Start(name)) }
-func end(name string) Message   { return docMsg(xmlstream.End(name)) }
-func startDoc() Message         { return docMsg(xmlstream.Event{Kind: xmlstream.StartDocument}) }
-func endDoc() Message           { return docMsg(xmlstream.Event{Kind: xmlstream.EndDocument}) }
+// ev builds a document message over a fresh event, its label resolved
+// against testCfg's table as Network.Step would.
+func ev(e xmlstream.Event) Message {
+	if e.Name != "" {
+		e.Sym = testCfg.symtab.Intern(e.Name)
+	}
+	return docMsg(&e)
+}
+
+func start(name string) Message { return ev(xmlstream.Start(name)) }
+func end(name string) Message   { return ev(xmlstream.End(name)) }
+func startDoc() Message         { return ev(xmlstream.Event{Kind: xmlstream.StartDocument}) }
+func endDoc() Message           { return ev(xmlstream.Event{Kind: xmlstream.EndDocument}) }
 
 func render(ms []Message) string {
 	out := ""
@@ -41,7 +56,7 @@ func render(ms []Message) string {
 	return out
 }
 
-var testCfg = &netConfig{}
+var testCfg = &netConfig{symtab: xmlstream.NewSymtab()}
 
 // TestChildTransducerDirect exercises CH(l) at the message level: Example
 // III.1's T1 in isolation.
@@ -150,38 +165,30 @@ func TestSplitDuplicates(t *testing.T) {
 	}
 }
 
-// TestJoinANDGate: the join buffers the whole step, then forwards each
-// document message once with the non-document messages of both branches
-// kept on their side of it (Fig. 9), deduplicating identical determination
-// messages that arrived via both branches of a split.
+// TestJoinANDGate: the join reads the whole step from both branches, then
+// forwards each document message once with the non-document messages of
+// both branches kept on their side of it (Fig. 9), deduplicating identical
+// determination messages that arrived via both branches of a split.
 func TestJoinANDGate(t *testing.T) {
 	jo := newJoin()
 	var out []Message
-	emit := func(_ int, m Message) { out = append(out, m) }
+	emit := &emitter{fn: func(_ int, m Message) { out = append(out, m) }}
 	det := Message{Kind: MsgDet, Var: 7, Final: true}
 	act, sa := actMsg(cond.Var(1)), start("a")
 	// Left branch delivers an activation + doc + trailing det, right
 	// branch the same det after its doc copy.
-	jo.feed(0, &act, emit)
-	jo.feed(0, &sa, emit)
-	jo.feed(0, &det, emit)
-	jo.feed(1, &sa, emit)
-	jo.feed(1, &det, emit)
-	if len(out) != 0 {
-		t.Fatalf("join fired before the step ended: %s", render(out))
-	}
-	jo.endStep(emit)
+	left, right := msgs(act, sa, det), msgs(sa, det)
+	jo.readStep([]*[]Message{&left, &right}, emit)
 	want := "[v1] <a> {v7,close}"
 	if render(out) != want {
 		t.Fatalf("got  %s\nwant %s", render(out), want)
 	}
-	// The buffers reset for the next step.
+	// The dedupe scratch resets for the next step.
 	ea := end("a")
-	jo.feed(0, &ea, emit)
-	jo.feed(1, &ea, emit)
+	left, right = msgs(ea, det), msgs(ea, det)
 	out = nil
-	jo.endStep(emit)
-	if render(out) != "</a>" {
+	jo.readStep([]*[]Message{&left, &right}, emit)
+	if render(out) != "</a> {v7,close}" {
 		t.Fatalf("second step: %s", render(out))
 	}
 }
@@ -256,7 +263,16 @@ func TestVDNestedWitness(t *testing.T) {
 		t.Fatalf("got %s", render(out))
 	}
 	m := out[0]
-	if m.Kind != MsgDet || m.Var != vo || m.Witness.String() != "v0" {
-		t.Fatalf("got %s (witness %s)", m, m.Witness)
+	if m.Kind != MsgDet || m.Var != vo || m.Formula.String() != "v0" {
+		t.Fatalf("got %s (witness %s)", m, m.Formula)
+	}
+}
+
+// TestMessageSize pins the slim message layout: every hop of every step
+// copies a Message, so it must stay within four words (it is three: the
+// event pointer, the formula, and kind/flags/variable packed in one word).
+func TestMessageSize(t *testing.T) {
+	if size := unsafe.Sizeof(Message{}); size > 32 {
+		t.Fatalf("Message is %d bytes, want ≤ 32", size)
 	}
 }

@@ -114,10 +114,16 @@ func EscapeAttr(s string) string {
 	return b.String()
 }
 
+// serializeBufSize is Serialize's write buffer. The builder is a buffer
+// already, so this one only batches the small writes of each event; results
+// are serialized one by one, and NewWriter's stream-sized buffer would be
+// allocated (and mostly cleared) per answer.
+const serializeBufSize = 256
+
 // Serialize renders a sequence of events as an XML string.
 func Serialize(events []Event) string {
 	var sb strings.Builder
-	w := NewWriter(&sb)
+	w := &Writer{w: bufio.NewWriterSize(&sb, serializeBufSize)}
 	for _, ev := range events {
 		w.WriteEvent(ev)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/rpeq"
 	"repro/internal/spexnet"
@@ -19,10 +20,18 @@ import (
 // performs zero allocations per document. CI runs this test in the bench
 // smoke job; a regression that re-introduces steady-state allocation fails
 // it rather than just shifting a benchmark number.
+//
+// The qualifier case pins the Fig. 15 class-2 query: its candidates wait for
+// a later editor, so each Topic allocates its candidate record — and
+// nothing else: the condition formulas of an unnested qualifier build no
+// nodes, and the sink reuses its queue slots and variable lists. The engine
+// allocated six times per Topic before the message path was slimmed; a
+// change that allocates more than the record per candidate fails here.
 func TestCountModeZeroAlloc(t *testing.T) {
+	const topics = 200
 	var doc bytes.Buffer
 	doc.WriteString("<RDF>")
-	for i := 0; i < 200; i++ {
+	for i := 0; i < topics; i++ {
 		doc.WriteString("<Topic><Title></Title><editor></editor></Topic>")
 	}
 	doc.WriteString("</RDF>")
@@ -33,28 +42,40 @@ func TestCountModeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := spexnet.Build(rpeq.MustParse("_*.Topic.Title"), spexnet.Options{
-		Mode:   spexnet.ModeCount,
-		Symtab: symtab,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &xmlstream.SliceSource{Events: events}
-	feed := func() {
-		src.Reset()
-		if _, err := net.Run(src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One warm pass grows the tapes and transducer stacks to their steady
-	// size (AllocsPerRun adds its own warm-up run on top).
-	feed()
-	if allocs := testing.AllocsPerRun(5, feed); allocs != 0 {
-		t.Fatalf("count-mode steady state allocates: %.1f allocs per document, want 0", allocs)
-	}
-	if n := net.Matches(); n == 0 {
-		t.Fatal("zero-alloc run found no answers; workload broken")
+	for _, tc := range []struct {
+		name      string
+		query     string
+		maxAllocs float64 // per document
+	}{
+		{"path", "_*.Topic.Title", 0},
+		{"qualifier", "_*.Topic[editor].Title", topics},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := spexnet.Build(rpeq.MustParse(tc.query), spexnet.Options{
+				Mode:   spexnet.ModeCount,
+				Symtab: symtab,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &xmlstream.SliceSource{Events: events}
+			feed := func() {
+				src.Reset()
+				if _, err := net.Run(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One warm pass grows the tapes and transducer stacks to their
+			// steady size (AllocsPerRun adds its own warm-up run on top).
+			feed()
+			if allocs := testing.AllocsPerRun(5, feed); allocs > tc.maxAllocs {
+				t.Fatalf("%s: count-mode steady state allocates %.1f times per document, want ≤ %.0f",
+					tc.query, allocs, tc.maxAllocs)
+			}
+			if n := net.Matches(); n == 0 {
+				t.Fatal("allocation-gated run found no answers; workload broken")
+			}
+		})
 	}
 }
 
@@ -110,8 +131,9 @@ var interningCorpus = []struct {
 }
 
 // TestInterningCrossValidation evaluates every corpus query on the symbol
-// pipeline and on the NoInterning ablation (the seed's string-matching
-// pipeline) and requires byte-identical serialized answers.
+// pipeline and requires byte-identical serialized answers to the DOM
+// oracle's, so a label that interns to the wrong symbol (a prefix collision,
+// a multi-byte label) shows as a wrong node or wrong content.
 func TestInterningCrossValidation(t *testing.T) {
 	for _, tc := range interningCorpus {
 		tc := tc
@@ -121,25 +143,28 @@ func TestInterningCrossValidation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", query, err)
 				}
-				run := func(noInterning bool) string {
-					var out strings.Builder
-					eo := core.EvalOptions{
-						Mode:        spexnet.ModeSerialize,
-						NoInterning: noInterning,
-						Sink: func(res spexnet.Result) {
-							fmt.Fprintf(&out, "%d %s %s\n",
-								res.Index, res.Name, xmlstream.Serialize(res.Events))
-						},
-					}
-					if _, err := plan.EvaluateReader(strings.NewReader(tc.doc), eo); err != nil {
-						t.Fatalf("%s (noInterning=%v): %v", query, noInterning, err)
-					}
-					return out.String()
+				var got strings.Builder
+				eo := core.EvalOptions{
+					Mode: spexnet.ModeSerialize,
+					Sink: func(res spexnet.Result) {
+						fmt.Fprintf(&got, "%d %s %s\n",
+							res.Index, res.Name, xmlstream.Serialize(res.Events))
+					},
 				}
-				interned, strs := run(false), run(true)
-				if interned != strs {
-					t.Errorf("%s: answers diverge\ninterned:\n%s\nstrings:\n%s",
-						query, interned, strs)
+				if _, err := plan.EvaluateReader(strings.NewReader(tc.doc), eo); err != nil {
+					t.Fatalf("%s: %v", query, err)
+				}
+				nodes, err := baseline.EvalReader(baseline.TreeWalk{}, strings.NewReader(tc.doc), rpeq.MustParse(query))
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", query, err)
+				}
+				var want strings.Builder
+				for _, n := range nodes {
+					fmt.Fprintf(&want, "%d %s %s\n", n.Index, n.Name, xmlstream.Serialize(n.Events()))
+				}
+				if got.String() != want.String() {
+					t.Errorf("%s: answers diverge\ninterned:\n%s\noracle:\n%s",
+						query, got.String(), want.String())
 				}
 			}
 		})

@@ -152,3 +152,55 @@ func TestMergedEngineLimits(t *testing.T) {
 	}
 	crossValidate(t, queries, doc)
 }
+
+// TestMergedSetReuseAcrossDocuments evaluates one merged Set over several
+// documents in turn — its set-compiler program is compiled at the first
+// Evaluate and reused by the rest — and requires each document's ordered
+// per-query answers and counts to equal those of a fresh Set built for that
+// document alone. The documents differ in shape, so a network or sink state
+// leaking from one evaluation into the next shows as a wrong answer.
+func TestMergedSetReuseAcrossDocuments(t *testing.T) {
+	queries := []*Query{
+		MustCompile("_*.a[b].c"),
+		MustCompile("_*.a[b].c"), // collapses onto query 0
+		MustCompile("_*.c").Limited(2),
+		MustCompile(`_*.a[@k="1"].c`),
+		MustCompile("a.b"),
+		MustCompile(`c[@x="1" and @x="2"]`), // pruned
+	}
+	docs := []string{
+		paperDoc,
+		`<r><a k="1"><b/><c/></a><a k="2"><c/><b/></a><a><c/></a></r>`,
+		`<a><c/></a>`,
+		paperDoc,
+		`<a><b/><a><b/><c/><c/></a><c/></a>`,
+	}
+	var hits []engineHit
+	reused := NewSet(queries, func(qi int, m Match) {
+		hits = append(hits, engineHit{qi, m.Index, m.Name})
+	}, Merged())
+	for di, doc := range docs {
+		hits = nil
+		if err := reused.Evaluate(strings.NewReader(doc)); err != nil {
+			t.Fatalf("doc %d: %v", di, err)
+		}
+		got, counts := perQuery(len(queries), hits), reused.Counts()
+		wantHits, wantCounts := runSetEngine(t, queries, doc, Merged())
+		want := perQuery(len(queries), wantHits)
+		for qi := range queries {
+			if counts[qi] != wantCounts[qi] {
+				t.Errorf("doc %d query %d: count %d, fresh set %d", di, qi, counts[qi], wantCounts[qi])
+			}
+			if len(got[qi]) != len(want[qi]) {
+				t.Errorf("doc %d query %d: %v, fresh set %v", di, qi, got[qi], want[qi])
+				continue
+			}
+			for j := range want[qi] {
+				if got[qi][j] != want[qi][j] {
+					t.Errorf("doc %d query %d: %v, fresh set %v", di, qi, got[qi], want[qi])
+					break
+				}
+			}
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/multi"
 	"repro/internal/obs"
 	"repro/internal/rpeq"
+	"repro/internal/setcompile"
 	"repro/internal/spexnet"
 	"repro/internal/xmlstream"
 )
@@ -116,8 +117,10 @@ func Shared() SetOption {
 // queries are pruned without compiling a single transducer, and equivalent
 // queries collapse onto one shared sink whose answers are remapped to every
 // member — with per-query counts and answer limits preserved exactly.
-// Answers are byte-identical to the other engines'. Combined with
-// Parallel, each shard evaluates its partition through a merged network.
+// Answers are byte-identical to the other engines'. The set is compiled at
+// its first Evaluate and every later Evaluate builds only the network from
+// that compilation. Combined with Parallel, each shard compiles and
+// evaluates its partition through a merged network on every Evaluate.
 func Merged() SetOption {
 	return func(c *setConfig) { c.merged = true }
 }
@@ -184,6 +187,11 @@ type Set struct {
 	counts     []int64
 	cfg        setConfig
 	determined bool
+	// prog caches the set compiler's program for the Merged engine: it
+	// depends only on the queries, so the first merged evaluation compiles
+	// it and later ones build only the network. It is not compiled in
+	// NewSet, so constructing a set stays cheap.
+	prog *setcompile.Program
 }
 
 // QuerySet evaluates several compiled queries against one stream in a
@@ -330,7 +338,11 @@ func (s *Set) newEngine() (eng setEngine, withText, withAttrs bool, err error) {
 		})
 	default:
 		if s.cfg.merged {
-			eng, err = multi.NewMergedSet(subs, engineOpts...)
+			var ms *multi.MergedSet
+			if ms, err = multi.NewMergedSet(subs, append(engineOpts, multi.WithProgram(s.prog))...); err == nil {
+				s.prog = ms.Program()
+				eng = ms
+			}
 		} else {
 			eng, err = multi.NewSharedSet(subs, engineOpts...)
 		}
