@@ -228,3 +228,55 @@ func TestFigure13CandidateAccounting(t *testing.T) {
 			out.Candidates, out.Dropped, out.Matches)
 	}
 }
+
+// TestMessageCountsMatchTrace checks the instrumented per-transducer
+// message counters, which the tapes' readers keep as a deviation from one
+// document message per step, against a tracer that sees every emission,
+// and against the per-step message totals.
+func TestMessageCountsMatchTrace(t *testing.T) {
+	doc := `<a><a><c/></a><b/><c/><a><b/><c>x</c></a></a>`
+	traced := map[string]*[3]int64{}
+	tr := obs.TracerFunc(func(ev obs.TraceEvent) {
+		if traced[ev.Node] == nil {
+			traced[ev.Node] = &[3]int64{}
+		}
+		traced[ev.Node][ev.Kind]++
+	})
+	for _, q := range []string{"_*.a[b].c", "_*.a[b|c]", "a._*[c]"} {
+		clear(traced)
+		m := obs.NewMetrics()
+		net, err := Build(rpeq.MustParse(q), Options{Mode: ModeCount, Tracer: tr, Metrics: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Run(xmlstream.NewScanner(strings.NewReader(doc))); err != nil {
+			t.Fatal(err)
+		}
+		snap := m.Snapshot()
+		counted := map[string]*[3]int64{}
+		var in int64
+		for _, ts := range snap.Transducers {
+			name := ts.Name[strings.IndexByte(ts.Name, ':')+1:]
+			if counted[name] == nil {
+				counted[name] = &[3]int64{}
+			}
+			c := counted[name]
+			c[obs.KindDoc] += ts.OutDoc
+			c[obs.KindActivation] += ts.OutAct
+			c[obs.KindDetermination] += ts.OutDet
+			in += ts.InDoc + ts.InAct + ts.InDet
+		}
+		for name, c := range counted {
+			want := [3]int64{}
+			if tc := traced[name]; tc != nil {
+				want = *tc
+			}
+			if *c != want {
+				t.Errorf("%s: %s counted out (doc, act, det) = %v, traced %v", q, name, *c, want)
+			}
+		}
+		if in != snap.StepMessages.Sum {
+			t.Errorf("%s: transducers counted %d messages in, steps carried %d", q, in, snap.StepMessages.Sum)
+		}
+	}
+}
